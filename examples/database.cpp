@@ -15,12 +15,13 @@
 /// the characterization three ways:
 ///   1. check the axiom set (complete + consistent);
 ///   2. run database queries against the bare specification;
-///   3. model-test the real Table<V> implementation against the axioms.
+///   3. run a testgen campaign of the axioms against the real Table<V>.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "adt/Table.h"
 #include "core/AlgSpec.h"
+#include "testgen/TestGen.h"
 
 #include <cstdio>
 #include <string>
@@ -111,11 +112,12 @@ int main() {
                  return A.get<TableImpl>() == B2.get<TableImpl>();
                });
 
-  ModelTestOptions Options;
+  TestGenOptions Options;
   Options.MaxDepth = 4;
-  ModelTestReport Report = testModel(WS.context(), *Table, B, Options);
-  std::printf("\nModel-testing the real Table<V> against the axioms:\n%s",
-              Report.render().c_str());
+  TestGenReport Report =
+      runTestGen(WS.context(), *Table, WS.specPointers(), B, Options);
+  std::printf("\nTesting the real Table<V> against the axioms:\n%s",
+              Report.render(Options).c_str());
   if (!Report.AllPassed || !Complete.SufficientlyComplete ||
       !Consistent.Consistent) {
     std::fprintf(stderr, "unexpected failure\n");

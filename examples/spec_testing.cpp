@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Specification-based testing (paper, section 5): a module implementor
-/// is handed nothing but the algebraic definition; the tester replays the
-/// axioms against the real code. A correct FIFO queue passes every
-/// axiom; a queue with a LIFO bug in REMOVE is caught, with the precise
-/// failing instance printed.
+/// is handed nothing but the algebraic definition; a testgen campaign
+/// replays every axiom instance up to a depth bound against the real
+/// code. A correct FIFO queue passes every axiom; a queue with a LIFO
+/// bug in REMOVE is caught, with a shrunk failing instance and the
+/// answer the axioms give for it printed.
 ///
 /// The Queue binding itself lives in the shared registry
 /// (src/adt/Bindings.cpp) — the same wiring the Model tests and the
@@ -20,6 +21,7 @@
 
 #include "adt/Bindings.h"
 #include "core/AlgSpec.h"
+#include "testgen/TestGen.h"
 
 #include <cstdio>
 #include <string>
@@ -39,8 +41,17 @@ int main() {
     return 1;
   }
 
-  ModelTestOptions Options;
+  // The spec side of each counterexample: what the axioms say the
+  // failing instance should have been.
+  Result<Session> SpecSide = WS.session();
+  if (!SpecSide) {
+    std::fprintf(stderr, "%s\n", SpecSide.error().message().c_str());
+    return 1;
+  }
+  TestGenOptions Options;
   Options.MaxDepth = 5;
+  Options.SpecEngine = &SpecSide->engine();
+  std::vector<const Spec *> All = WS.specPointers();
 
   std::printf("==== testing the correct FIFO implementation ====\n");
   {
@@ -49,8 +60,8 @@ int main() {
       std::fprintf(stderr, "%s\n", R.error().message().c_str());
       return 1;
     }
-    ModelTestReport Report = testModel(WS.context(), *Queue, B, Options);
-    std::printf("%s", Report.render().c_str());
+    TestGenReport Report = runTestGen(WS.context(), *Queue, All, B, Options);
+    std::printf("%s", Report.render(Options).c_str());
     if (!Report.AllPassed) {
       std::fprintf(stderr, "unexpected failure in the correct queue\n");
       return 1;
@@ -65,9 +76,9 @@ int main() {
       std::fprintf(stderr, "%s\n", R.error().message().c_str());
       return 1;
     }
-    ModelTestReport Report = testModel(WS.context(), *Queue, B, Options);
-    std::printf("%s", Report.render().c_str());
-    if (Report.AllPassed) {
+    TestGenReport Report = runTestGen(WS.context(), *Queue, All, B, Options);
+    std::printf("%s", Report.render(Options).c_str());
+    if (Report.TotalFailures == 0) {
       std::fprintf(stderr, "the axioms should have caught the bug\n");
       return 1;
     }

@@ -116,7 +116,7 @@ public:
   /// assignment history per bucket. Finer than observational equality
   /// (which ignores shadowed entries and assignment order across
   /// distinct identifiers) but exact for values produced by replaying
-  /// one ASSIGN sequence — which is what the model tester compares.
+  /// one ASSIGN sequence — which is what testgen campaigns compare.
   friend bool operator==(const HashArray &A, const HashArray &B) {
     if (A.Buckets.size() != B.Buckets.size() ||
         A.NumEntries != B.NumEntries)

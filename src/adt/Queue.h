@@ -11,8 +11,8 @@
 /// The public operations mirror the algebraic signature exactly
 /// (NEW = the constructor, ADD = add, FRONT = front, REMOVE = remove,
 /// IS_EMPTY? = isEmpty); boundary conditions surface as std::nullopt /
-/// false instead of the algebra's error, and the ModelTester maps between
-/// the two. The representation is invisible to clients — the class *is*
+/// false instead of the algebra's error, and the ModelBinding registry
+/// (Bindings.cpp) maps between the two. The representation is invisible to clients — the class *is*
 /// the information-hiding boundary the paper argues for.
 ///
 //===----------------------------------------------------------------------===//

@@ -31,7 +31,6 @@
 #include "check/Termination.h"
 #include "interp/Session.h"
 #include "model/ModelBinding.h"
-#include "model/ModelTester.h"
 #include "parser/Parser.h"
 #include "rewrite/Engine.h"
 #include "specs/BuiltinSpecs.h"

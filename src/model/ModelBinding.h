@@ -10,8 +10,8 @@
 /// This realizes the paper's section-5 testing discipline: a programmer
 /// implements a module against the algebraic definition alone; the
 /// binding evaluates ground terms of the algebra by running the real
-/// code, so the ModelTester can check every axiom against the
-/// implementation. It is also the other half of "implementations and
+/// code, so a testgen campaign (testgen/TestGen.h) can check every axiom
+/// against the implementation. It is also the other half of "implementations and
 /// specifications are interchangeable": Session interprets the spec,
 /// ModelBinding runs the code, both evaluate the same terms.
 ///

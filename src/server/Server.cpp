@@ -8,6 +8,7 @@
 
 #include "server/Version.h"
 #include "support/Json.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -377,10 +378,7 @@ void Server::serveJob(size_t WorkerIndex, Job &J) {
     return;
   }
 
-  // Clamp the request's fuel to the server-wide cap.
-  if (Opts.MaxSteps != 0 && (J.Req.Command.Opts.MaxSteps == 0 ||
-                             J.Req.Command.Opts.MaxSteps > Opts.MaxSteps))
-    J.Req.Command.Opts.MaxSteps = Opts.MaxSteps;
+  clampToServerLimits(J.Req.Command.Opts, Opts);
 
   bool CacheHit = false;
   std::shared_ptr<CacheEntry> Entry =
@@ -455,6 +453,13 @@ ServerStatsSnapshot Server::statsSnapshot() {
     S.Arena = Arena;
   }
   return S;
+}
+
+void server::clampToServerLimits(CommandOptions &Cmd,
+                                 const ServerOptions &Opts) {
+  if (Opts.MaxSteps != 0 && (Cmd.MaxSteps == 0 || Cmd.MaxSteps > Opts.MaxSteps))
+    Cmd.MaxSteps = Opts.MaxSteps;
+  Cmd.Jobs = std::min(Cmd.Jobs, ThreadPool::defaultConcurrency());
 }
 
 //===----------------------------------------------------------------------===//

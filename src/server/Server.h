@@ -189,6 +189,14 @@ private:
   ServerArenaStats Arena; ///< Guarded by EngineMutex.
 };
 
+/// Applies the server-wide caps to one request's options before dispatch:
+/// the engine fuel never exceeds \p Opts' MaxSteps, and the worker count
+/// never exceeds the machine's hardware threads. A thread pool starts all
+/// of its threads up front, so without the clamp one frame could make the
+/// daemon start any number of them. Reports are byte-identical at any job
+/// count, so the clamp never changes a response.
+void clampToServerLimits(CommandOptions &Cmd, const ServerOptions &Opts);
+
 /// The CLI entry point: start, announce, block until SIGTERM/SIGINT,
 /// drain, return. Returns an error only for startup failures.
 Result<void> serveForever(ServerOptions Opts);

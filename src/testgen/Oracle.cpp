@@ -12,6 +12,7 @@
 #include "check/TermEnumerator.h"
 #include "model/ModelBinding.h"
 #include "model/Value.h"
+#include "parser/Replicator.h"
 #include "rewrite/Substitution.h"
 
 #include <algorithm>
@@ -128,6 +129,20 @@ Oracle Oracle::build(AlgebraContext &Ctx, std::span<const Spec *const> Specs,
   return O;
 }
 
+std::optional<Oracle> Oracle::replicate(Replica &Rep) const {
+  Oracle O;
+  O.ValueSort = Rep.mapSort(ValueSort);
+  O.Direct = Direct;
+  for (const ObserverContext &C : Observers) {
+    TermId Context = Rep.mapTerm(C.Context);
+    if (!Context.isValid())
+      return std::nullopt;
+    O.Observers.push_back(
+        {Context, Rep.mapVar(C.Hole), Rep.mapSort(C.ResultSort)});
+  }
+  return O;
+}
+
 Result<OracleVerdict> Oracle::compare(ModelBinding &B, TermId L,
                                       TermId R) const {
   AlgebraContext &Ctx = B.context();
@@ -175,9 +190,9 @@ Result<OracleVerdict> Oracle::compare(ModelBinding &B, TermId L,
     Result<Value> OR = B.evaluate(ObsR);
     if (!OR)
       return OR.error();
-    std::string Observer = "observer " + printTerm(Ctx, C.Context);
+    auto observer = [&] { return "observer " + printTerm(Ctx, C.Context); };
     if (OL->isError() != OR->isError())
-      return OracleVerdict{false, Observer +
+      return OracleVerdict{false, observer() +
                                       (OL->isError()
                                            ? ": lhs observes error, rhs "
                                              "does not"
@@ -190,7 +205,7 @@ Result<OracleVerdict> Oracle::compare(ModelBinding &B, TermId L,
       return Eq.error();
     if (!*Eq)
       return OracleVerdict{
-          false, Observer + ": lhs = " +
+          false, observer() + ": lhs = " +
                      renderObservable(Ctx, C.ResultSort, *OL) + ", rhs = " +
                      renderObservable(Ctx, C.ResultSort, *OR)};
   }

@@ -24,6 +24,7 @@
 #include "ast/Ids.h"
 #include "support/Error.h"
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@ namespace algspec {
 
 class AlgebraContext;
 class ModelBinding;
+class Replica;
 class Spec;
 class TermEnumerator;
 class Value;
@@ -87,14 +89,21 @@ public:
   bool decidable() const { return Direct || !Observers.empty(); }
   bool usesObservers() const { return !Direct; }
   size_t observerCount() const { return Observers.size(); }
-  SortId sort() const { return ValueSort; }
-  std::span<const ObserverContext> observers() const { return Observers; }
+
+  /// This oracle over a parallel worker's replica: the value sort, every
+  /// observer context with its hole, and the result sorts mapped into
+  /// \p Rep, so the worker judges its instances through compare() on its
+  /// own binding. Empty when a context does not map into the replica.
+  std::optional<Oracle> replicate(Replica &Rep) const;
 
   /// Compares the ground terms \p L and \p R by evaluating them (and,
-  /// for observer oracles, their observations) through \p B. Fails only
-  /// on evaluation errors the campaign reports as obstructions (unbound
-  /// operations, missing equalities); in-algebra errors are values and
-  /// compare equal to each other only.
+  /// for observer oracles, their observations) through \p B, whose
+  /// context is the one this oracle was built or replicated into. Fails
+  /// only on evaluation errors the campaign reports as obstructions
+  /// (unbound operations, missing equalities); in-algebra errors are
+  /// values and compare equal to each other only. The instance fails
+  /// when the result is an error or not Equal; nothing is rendered for
+  /// a passing instance.
   Result<OracleVerdict> compare(ModelBinding &B, TermId L, TermId R) const;
 
 private:

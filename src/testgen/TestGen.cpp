@@ -92,6 +92,9 @@ std::vector<uint32_t> uniformityRepresentatives(const AlgebraContext &Ctx,
 struct TestGenWorker {
   std::unique_ptr<Replica> Rep;
   std::unique_ptr<ModelBinding> Binding; ///< Null when replication failed.
+  /// The campaign's oracles replicated into Rep, keyed by main-context
+  /// sort; empty where an oracle does not map.
+  std::unordered_map<SortId, std::optional<Oracle>> Judges;
 };
 
 std::string describeHypotheses(const TestGenOptions &Options) {
@@ -273,8 +276,7 @@ TestGenReport algspec::runTestGen(AlgebraContext &Ctx, const Spec &S,
     }
     Campaign.Planned = Planned;
     Report.TotalPlanned += Planned;
-    if (!Options.RandomCount && !Options.Uniformity &&
-        Planned >= Options.MaxInstancesPerAxiom)
+    if (Planned >= Options.MaxInstancesPerAxiom)
       Report.Caveats.push_back("axiom " + std::to_string(Ax.Number) +
                                ": instance cap reached");
 
@@ -342,7 +344,8 @@ TestGenReport algspec::runTestGen(AlgebraContext &Ctx, const Spec &S,
     };
 
     if (Driver && NumVars && Planned <= Options.Par.MaxFlatSpace) {
-      // Workers classify their shard of the plan; the merge walks
+      // Workers judge their shard of the plan through the campaign's
+      // oracle replicated into their own context; the merge walks
       // flagged instances in ascending plan order and re-judges them on
       // the caller's binding, regenerating the exact serial failure and
       // stop point. Re-checking also tolerates a worker whose
@@ -350,6 +353,13 @@ TestGenReport algspec::runTestGen(AlgebraContext &Ctx, const Spec &S,
       std::vector<uint8_t> Flagged = Driver->map<uint8_t>(
           Planned, [&](TestGenWorker &W, size_t I) -> uint8_t {
             if (!W.Binding)
+              return 1;
+            auto It = W.Judges.find(AxiomSort);
+            if (It == W.Judges.end())
+              It = W.Judges.emplace(AxiomSort, Judge.replicate(*W.Rep))
+                       .first;
+            const std::optional<Oracle> &WorkerJudge = It->second;
+            if (!WorkerJudge)
               return 1;
             AlgebraContext &RCtx = W.Rep->context();
             Substitution Sigma;
@@ -366,47 +376,9 @@ TestGenReport algspec::runTestGen(AlgebraContext &Ctx, const Spec &S,
               return 1;
             TermId Lhs = applySubstitution(RCtx, MappedLhs, Sigma);
             TermId Rhs = applySubstitution(RCtx, MappedRhs, Sigma);
-
-            Result<Value> LV = W.Binding->evaluate(Lhs);
-            if (!LV)
-              return 1;
-            Result<Value> RV = W.Binding->evaluate(Rhs);
-            if (!RV)
-              return 1;
-            if (LV->isError() || RV->isError())
-              return LV->isError() == RV->isError() ? 0 : 1;
-
-            if (!Judge.usesObservers()) {
-              auto Eq = W.Binding->equal(W.Rep->mapSort(AxiomSort), *LV,
-                                         *RV);
-              return (!Eq || !*Eq) ? 1 : 0;
-            }
-            for (const ObserverContext &C : Judge.observers()) {
-              TermId MappedCtx = W.Rep->mapTerm(C.Context);
-              if (!MappedCtx.isValid())
-                return 1;
-              VarId MappedHole = W.Rep->mapVar(C.Hole);
-              Substitution HL, HR;
-              HL.bind(MappedHole, Lhs);
-              HR.bind(MappedHole, Rhs);
-              Result<Value> OL = W.Binding->evaluate(
-                  applySubstitution(RCtx, MappedCtx, HL));
-              if (!OL)
-                return 1;
-              Result<Value> OR = W.Binding->evaluate(
-                  applySubstitution(RCtx, MappedCtx, HR));
-              if (!OR)
-                return 1;
-              if (OL->isError() != OR->isError())
-                return 1;
-              if (OL->isError())
-                continue;
-              auto Eq = W.Binding->equal(W.Rep->mapSort(C.ResultSort), *OL,
-                                         *OR);
-              if (!Eq || !*Eq)
-                return 1;
-            }
-            return 0;
+            Result<OracleVerdict> V =
+                WorkerJudge->compare(*W.Binding, Lhs, Rhs);
+            return !V || !V->Equal;
           });
       Campaign.Run = Planned;
       for (size_t I = 0; I != Planned; ++I) {

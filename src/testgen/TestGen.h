@@ -72,12 +72,26 @@ struct TestGenOptions {
   OracleOptions Oracles;
   EnumeratorOptions Enum;
   /// Parallel sharding of the instance sweep; reports are byte-identical
-  /// at any job count. Takes effect only with a BindingFactory, under
-  /// the same concurrency contract as ModelTestOptions::BindingFactory.
-  /// The factory receives the worker's replica context and its
-  /// re-elaborated specs (operation names resolve per spec, not
-  /// globally); returning null falls the worker back to flagging.
+  /// at any job count. Takes effect only with a BindingFactory.
   ParallelOptions Par;
+  /// Builds a fresh binding over a worker's replica. A ModelBinding
+  /// wraps arbitrary user callables, so it cannot be copied the way specs
+  /// can; the factory re-binds the implementation against the replica
+  /// context and its re-elaborated specs (operation names resolve per
+  /// spec, not globally). Returning null falls the worker back to
+  /// flagging its whole shard for the caller to re-judge.
+  ///
+  /// Concurrency contract: the factory is invoked lazily from pool
+  /// worker threads, so it must be safe to call concurrently, and the
+  /// bindings it returns are evaluated concurrently over disjoint
+  /// instance shards. Workers evaluate every instance of their shard on
+  /// replica bindings, and the caller's binding then re-judges only the
+  /// flagged instances during the merge, whereas the serial sweep
+  /// evaluates every instance up to the first failure on the caller's
+  /// binding. The byte-identical-report guarantee therefore holds only
+  /// for deterministic, effectively stateless bindings whose results do
+  /// not depend on evaluation order or on which binding instance runs
+  /// them.
   std::function<std::unique_ptr<ModelBinding>(AlgebraContext &,
                                               std::span<const Spec>)>
       BindingFactory;

@@ -22,6 +22,7 @@
 #include "blocklang/Sema.h"
 #include "core/AlgSpec.h"
 #include "support/SourceMgr.h"
+#include "testgen/TestGen.h"
 
 #include <gtest/gtest.h>
 
@@ -184,11 +185,11 @@ TEST(PaperWalkthrough, Section3ToSection5EndToEnd) {
                [](const Value &A, const Value &B2) {
                  return A.get<StackV>() == B2.get<StackV>();
                });
-  ModelTestOptions MOpts;
+  TestGenOptions MOpts;
   MOpts.MaxDepth = 3;
   for (const Spec &S : Concrete) {
-    ModelTestReport Report = testModel(Ctx, S, B, MOpts);
-    ASSERT_TRUE(Report.AllPassed) << S.name() << ":\n" << Report.render();
+    TestGenReport Report = runTestGen(Ctx, S, Sources, B, MOpts);
+    ASSERT_TRUE(Report.AllPassed) << Report.render(MOpts);
   }
 
   // -- Section 5: the compiler front end runs on the bare specification.

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Model-based testing (paper section 5): every concrete ADT is run
-/// against the axioms of its algebraic specification. A deliberately
-/// broken implementation shows the tester catching real bugs.
+/// against the axioms of its algebraic specification through a
+/// full-regularity testgen campaign. A deliberately broken
+/// implementation shows the campaign catching real bugs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,13 +18,14 @@
 #include "adt/PriorityQueue.h"
 #include "ast/AlgebraContext.h"
 #include "model/ModelBinding.h"
-#include "model/ModelTester.h"
 #include "parser/Parser.h"
 #include "specs/BuiltinSpecs.h"
+#include "testgen/TestGen.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 using namespace algspec;
 
@@ -42,6 +44,13 @@ void installFromRegistry(ModelBinding &B, const Spec &S,
   ASSERT_TRUE(static_cast<bool>(R)) << R.error().message();
 }
 
+/// Enumerative campaign options at regularity depth \p MaxDepth.
+TestGenOptions atDepth(unsigned MaxDepth) {
+  TestGenOptions Options;
+  Options.MaxDepth = MaxDepth;
+  return Options;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -55,13 +64,14 @@ TEST(ModelQueueTest, RealImplementationSatisfiesAllAxioms) {
   ModelBinding B(Ctx);
   installFromRegistry(B, *Q);
 
-  ModelTestOptions Options;
-  Options.MaxDepth = 5; // Queues of up to 4 elements, both atoms each.
-  ModelTestReport Report = testModel(Ctx, *Q, B, Options);
-  EXPECT_TRUE(Report.AllPassed) << Report.render();
-  ASSERT_EQ(Report.Results.size(), 6u);
-  for (const AxiomTestResult &R : Report.Results)
-    EXPECT_GT(R.InstancesChecked, 0u);
+  // Depth 5: queues of up to 4 elements, both atoms each.
+  const Spec *All[] = {&*Q};
+  TestGenOptions Options = atDepth(5);
+  TestGenReport Report = runTestGen(Ctx, *Q, All, B, Options);
+  EXPECT_TRUE(Report.AllPassed) << Report.render(Options);
+  ASSERT_EQ(Report.Axioms.size(), 6u);
+  for (const AxiomCampaign &A : Report.Axioms)
+    EXPECT_GT(A.Run, 0u);
 }
 
 TEST(ModelQueueTest, LifoBugCaughtByAxiom6) {
@@ -71,16 +81,16 @@ TEST(ModelQueueTest, LifoBugCaughtByAxiom6) {
   ModelBinding B(Ctx);
   installFromRegistry(B, *Q, "remove-lifo");
 
-  ModelTestOptions Options;
-  Options.MaxDepth = 4;
-  ModelTestReport Report = testModel(Ctx, *Q, B, Options);
+  const Spec *All[] = {&*Q};
+  TestGenOptions Options = atDepth(4);
+  TestGenReport Report = runTestGen(Ctx, *Q, All, B, Options);
   EXPECT_FALSE(Report.AllPassed);
   // Axiom 6 (REMOVE over a non-empty queue) is the one that pins FIFO.
   bool Axiom6Failed = false;
-  for (const AxiomTestResult &R : Report.Results)
-    if (R.AxiomNumber == 6 && !R.Passed)
+  for (const AxiomCampaign &A : Report.Axioms)
+    if (A.AxiomNumber == 6 && !A.Passed)
       Axiom6Failed = true;
-  EXPECT_TRUE(Axiom6Failed) << Report.render();
+  EXPECT_TRUE(Axiom6Failed) << Report.render(Options);
 }
 
 TEST(ModelQueueTest, EvaluateGroundTermRunsRealCode) {
@@ -123,11 +133,13 @@ TEST(ModelStackArrayTest, PaperImplementationSatisfiesAxioms10To20) {
   for (const Spec &S : *Parsed)
     installFromRegistry(B, S);
 
-  ModelTestOptions Options;
-  Options.MaxDepth = 3;
+  std::vector<const Spec *> All;
+  for (const Spec &S : *Parsed)
+    All.push_back(&S);
+  TestGenOptions Options = atDepth(3);
   for (const Spec &S : *Parsed) {
-    ModelTestReport Report = testModel(Ctx, S, B, Options);
-    EXPECT_TRUE(Report.AllPassed) << S.name() << ":\n" << Report.render();
+    TestGenReport Report = runTestGen(Ctx, S, All, B, Options);
+    EXPECT_TRUE(Report.AllPassed) << Report.render(Options);
   }
 }
 
@@ -142,11 +154,11 @@ TEST(ModelSymbolTableTest, StackOfArraysSatisfiesAxioms1To9) {
   ModelBinding B(Ctx);
   installFromRegistry(B, *S);
 
-  ModelTestOptions Options;
-  Options.MaxDepth = 4;
-  ModelTestReport Report = testModel(Ctx, *S, B, Options);
-  EXPECT_TRUE(Report.AllPassed) << Report.render();
-  EXPECT_EQ(Report.Results.size(), 9u);
+  const Spec *All[] = {&*S};
+  TestGenOptions Options = atDepth(4);
+  TestGenReport Report = runTestGen(Ctx, *S, All, B, Options);
+  EXPECT_TRUE(Report.AllPassed) << Report.render(Options);
+  EXPECT_EQ(Report.Axioms.size(), 9u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -201,12 +213,12 @@ TEST(ModelKnowsTest, KnowsTableSatisfiesAdaptedAxioms) {
     return A.get<KTableV>() == B2.get<KTableV>();
   });
 
-  ModelTestOptions Options;
-  Options.MaxDepth = 3;
-  ModelTestReport KReport = testModel(Ctx, KnowlistSpec, B, Options);
-  EXPECT_TRUE(KReport.AllPassed) << KReport.render();
-  ModelTestReport TReport = testModel(Ctx, TableSpec, B, Options);
-  EXPECT_TRUE(TReport.AllPassed) << TReport.render();
+  const Spec *All[] = {&KnowlistSpec, &TableSpec};
+  TestGenOptions Options = atDepth(3);
+  TestGenReport KReport = runTestGen(Ctx, KnowlistSpec, All, B, Options);
+  EXPECT_TRUE(KReport.AllPassed) << KReport.render(Options);
+  TestGenReport TReport = runTestGen(Ctx, TableSpec, All, B, Options);
+  EXPECT_TRUE(TReport.AllPassed) << TReport.render(Options);
 }
 
 //===----------------------------------------------------------------------===//
@@ -276,11 +288,12 @@ TEST(ModelTableTest, DatabaseTableSatisfiesItsSpec) {
   ModelBinding B(Ctx);
   installFromRegistry(B, (*Parsed)[0]);
 
-  ModelTestOptions Options;
-  Options.MaxDepth = 4;
-  ModelTestReport Report = testModel(Ctx, (*Parsed)[0], B, Options);
-  EXPECT_TRUE(Report.AllPassed) << Report.render();
-  EXPECT_EQ(Report.Results.size(), 10u);
+  const Spec &Table = (*Parsed)[0];
+  const Spec *All[] = {&Table};
+  TestGenOptions Options = atDepth(4);
+  TestGenReport Report = runTestGen(Ctx, Table, All, B, Options);
+  EXPECT_TRUE(Report.AllPassed) << Report.render(Options);
+  EXPECT_EQ(Report.Axioms.size(), 10u);
 }
 
 TEST(ModelTableTest, SelectValThroughRealCode) {
@@ -352,12 +365,12 @@ TEST(ModelPriorityQueueTest, HeapSatisfiesTheSpecFile) {
                  return A.get<PQ>() == B2.get<PQ>();
                });
 
-  ModelTestOptions Options;
-  Options.MaxDepth = 5;
+  const Spec *All[] = {&S};
+  TestGenOptions Options = atDepth(5);
   // Duplicate Int values matter for the lei tie-break; widen the pool.
   Options.Enum.IntValues = {0, 1, 1, 2};
-  ModelTestReport Report = testModel(Ctx, S, B, Options);
-  EXPECT_TRUE(Report.AllPassed) << Report.render();
-  EXPECT_EQ(Report.Results.size(), 8u);
+  TestGenReport Report = runTestGen(Ctx, S, All, B, Options);
+  EXPECT_TRUE(Report.AllPassed) << Report.render(Options);
+  EXPECT_EQ(Report.Axioms.size(), 8u);
 }
 #endif // ALGSPEC_SOURCE_DIR

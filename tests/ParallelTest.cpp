@@ -12,14 +12,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "adt/Queue.h"
 #include "ast/AlgebraContext.h"
 #include "ast/TermPrinter.h"
 #include "check/Completeness.h"
 #include "check/Consistency.h"
 #include "check/ReplicaWorker.h"
-#include "model/ModelBinding.h"
-#include "model/ModelTester.h"
 #include "parser/Parser.h"
 #include "parser/Replicator.h"
 #include "specs/BuiltinSpecs.h"
@@ -331,82 +328,6 @@ TEST(ParallelDeterminism, ConsistencyCleanAndContradictory) {
   EXPECT_FALSE(Serial2.Consistent);
   ASSERT_FALSE(Serial2.Contradictions.empty());
   EXPECT_EQ(Serial2.render(Ctx2), Sharded2.render(Ctx2));
-}
-
-namespace {
-
-/// Queue<std::string> bindings for the model-test determinism check.
-/// \p BuggyRemove drops the newest element instead of the oldest, which
-/// axiom 6 catches — giving the parallel merge a failure to reproduce.
-void bindQueueModel(ModelBinding &B, AlgebraContext &Ctx, bool BuggyRemove) {
-  using QueueV = adt::Queue<std::string>;
-  B.bindOp("NEW", [](std::span<const Value>) {
-    return Value::of(QueueV());
-  });
-  B.bindOp("ADD", [](std::span<const Value> Args) {
-    QueueV Q = Args[0].get<QueueV>();
-    Q.add(Args[1].get<std::string>());
-    return Value::of(std::move(Q));
-  });
-  B.bindOp("FRONT", [](std::span<const Value> Args) {
-    std::optional<std::string> Front = Args[0].get<QueueV>().front();
-    return Front ? Value::of(*Front) : Value::error();
-  });
-  B.bindOp("REMOVE", [BuggyRemove](std::span<const Value> Args) {
-    QueueV Q = Args[0].get<QueueV>();
-    if (Q.isEmpty())
-      return Value::error();
-    if (!BuggyRemove) {
-      Q.remove();
-      return Value::of(std::move(Q));
-    }
-    QueueV Rebuilt;
-    while (Q.size() > 1) {
-      Rebuilt.add(*Q.front());
-      Q.remove();
-    }
-    return Value::of(std::move(Rebuilt));
-  });
-  B.bindOp("IS_EMPTY?", [](std::span<const Value> Args) {
-    return Value::of(Args[0].get<QueueV>().isEmpty());
-  });
-  B.bindEquals(Ctx.lookupSort("Queue"),
-               [](const Value &A, const Value &B2) {
-                 return A.get<adt::Queue<std::string>>() ==
-                        B2.get<adt::Queue<std::string>>();
-               });
-}
-
-ModelTestReport runQueueModel(bool BuggyRemove, unsigned Jobs) {
-  AlgebraContext Ctx;
-  Spec Q = specs::loadQueue(Ctx).take();
-  ModelBinding B(Ctx);
-  bindQueueModel(B, Ctx, BuggyRemove);
-  ModelTestOptions Options;
-  Options.MaxDepth = 4;
-  Options.Par.Jobs = Jobs;
-  Options.Par.MinChunk = 8;
-  Options.BindingFactory =
-      [BuggyRemove](AlgebraContext &RCtx) -> std::unique_ptr<ModelBinding> {
-    auto RB = std::make_unique<ModelBinding>(RCtx);
-    bindQueueModel(*RB, RCtx, BuggyRemove);
-    return RB;
-  };
-  return testModel(Ctx, Q, B, Options);
-}
-
-} // namespace
-
-TEST(ParallelDeterminism, ModelTesterPassingAndFailing) {
-  ModelTestReport SerialOk = runQueueModel(false, 1);
-  ModelTestReport ShardedOk = runQueueModel(false, 4);
-  EXPECT_TRUE(ShardedOk.AllPassed) << ShardedOk.render();
-  EXPECT_EQ(SerialOk.render(), ShardedOk.render());
-
-  ModelTestReport SerialBad = runQueueModel(true, 1);
-  ModelTestReport ShardedBad = runQueueModel(true, 4);
-  EXPECT_FALSE(ShardedBad.AllPassed);
-  EXPECT_EQ(SerialBad.render(), ShardedBad.render());
 }
 
 namespace {

@@ -269,6 +269,13 @@ struct RoundTripCase {
   unsigned Depth;
 };
 
+// Without a printer, gtest shows a case as a byte dump of its two string
+// pointers, and gtest_discover_tests puts that dump into the CTest name, so
+// the name changes with every build and every address-space layout.
+void PrintTo(const RoundTripCase &Case, std::ostream *OS) {
+  *OS << Case.SpecName << '-' << Case.SortName << "-depth" << Case.Depth;
+}
+
 class PrintParseRoundTrip : public ::testing::TestWithParam<RoundTripCase> {
 };
 

@@ -21,6 +21,7 @@
 #include "server/Version.h"
 #include "support/Json.h"
 #include "support/Socket.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -671,6 +672,40 @@ TEST(ServerProtocolTest, CommandRequestRoundTrips) {
   ASSERT_EQ(Decoded.Command.Opts.OpMap.size(), 2u);
   EXPECT_EQ(Decoded.Command.Opts.OpMap[0].first, "INIT");
   EXPECT_EQ(Decoded.Command.Opts.OpMap[0].second, "INIT_R");
+}
+
+TEST(ServerProtocolTest, ServerLimitsClampJobsAndFuel) {
+  // Only decodes and clamps: no server runs, so no pool is ever started
+  // at the requested size.
+  CommandRequest Req = builtinCommand("verify", {"queue"});
+  Req.Opts.Jobs = 100000;
+  Req.Opts.MaxSteps = 1234;
+  std::string Frame = encodeCommandRequest("1", Req, /*DeadlineMs=*/0);
+  Request Decoded;
+  ProtocolError Err;
+  ASSERT_TRUE(parseRequest(
+      std::string_view(Frame.data(), Frame.size() - 1), Decoded, Err))
+      << Err.Message;
+  EXPECT_EQ(Decoded.Command.Opts.Jobs, 100000u);
+
+  ServerOptions Opts;
+  Opts.MaxSteps = 500;
+  clampToServerLimits(Decoded.Command.Opts, Opts);
+  EXPECT_EQ(Decoded.Command.Opts.Jobs, ThreadPool::defaultConcurrency());
+  EXPECT_EQ(Decoded.Command.Opts.MaxSteps, 500u);
+
+  // Requests already inside the limits pass through; jobs 0 keeps
+  // meaning one worker per hardware thread.
+  CommandOptions Small;
+  Small.Jobs = 1;
+  Small.MaxSteps = 100;
+  clampToServerLimits(Small, Opts);
+  EXPECT_EQ(Small.Jobs, 1u);
+  EXPECT_EQ(Small.MaxSteps, 100u);
+  CommandOptions Defaults;
+  clampToServerLimits(Defaults, Opts);
+  EXPECT_EQ(Defaults.Jobs, 0u);
+  EXPECT_EQ(Defaults.MaxSteps, 500u);
 }
 
 TEST(ServerProtocolTest, ResponsesEscapeEmbeddedNewlines) {

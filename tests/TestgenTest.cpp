@@ -254,7 +254,8 @@ TEST(TestgenDeterminismTest, JobsOneAndFourProduceIdenticalReports) {
   auto Q = specs::loadQueue(Ctx);
   ASSERT_TRUE(static_cast<bool>(Q));
 
-  auto runAt = [&Ctx, &Q](unsigned Jobs, std::string_view Mutant) {
+  auto runAt = [&Ctx, &Q](unsigned Jobs, std::string_view Mutant,
+                          bool ForceObservers = false) {
     ModelBinding B(Ctx);
     const adt::AdtBinding *Row = adt::findAdtBinding("Queue");
     EXPECT_NE(Row, nullptr);
@@ -262,6 +263,7 @@ TEST(TestgenDeterminismTest, JobsOneAndFourProduceIdenticalReports) {
     const Spec *All[] = {&*Q};
     TestGenOptions Options;
     Options.MaxDepth = 4;
+    Options.ForceObservers = ForceObservers;
     Options.Par.Jobs = Jobs;
     Options.Par.MinChunk = 1; // Shard even the small campaign.
     Options.BindingFactory = [Mutant](AlgebraContext &RCtx,
@@ -278,6 +280,10 @@ TEST(TestgenDeterminismTest, JobsOneAndFourProduceIdenticalReports) {
   // The failing campaign must also be byte-identical: same first
   // failure, same shrunk counterexample, same stop point.
   EXPECT_EQ(runAt(1, "remove-lifo"), runAt(4, "remove-lifo"));
+  // Workers judge through the observer oracle replicated into their own
+  // contexts; passing and failing campaigns still match the serial run.
+  EXPECT_EQ(runAt(1, "", true), runAt(4, "", true));
+  EXPECT_EQ(runAt(1, "remove-lifo", true), runAt(4, "remove-lifo", true));
 }
 
 //===----------------------------------------------------------------------===//
@@ -307,6 +313,58 @@ TEST(TestgenUniformityTest, CellsShrinkThePlanAndStillCatchTheMutant) {
     EXPECT_LE(A.Planned, A.UniformityCells);
     EXPECT_LE(A.UniformityCells, A.SpaceAtDepth);
   }
+}
+
+TEST(TestgenCapTest, RandomAndUniformityPlansReportTheInstanceCap) {
+  AlgebraContext Ctx;
+  auto Q = specs::loadQueue(Ctx);
+  ASSERT_TRUE(static_cast<bool>(Q));
+  ModelBinding B(Ctx);
+  install(B, *Q);
+
+  const Spec *All[] = {&*Q};
+  auto capNotes = [](const TestGenReport &Report) {
+    size_t Notes = 0;
+    for (const std::string &Caveat : Report.Caveats)
+      Notes += Caveat.find("instance cap reached") != std::string::npos;
+    return Notes;
+  };
+
+  TestGenOptions Random;
+  Random.MaxDepth = 4;
+  Random.RandomCount = 10;
+  Random.Seed = 7;
+  Random.MaxInstancesPerAxiom = 3;
+  TestGenReport Sampled = runTestGen(Ctx, *Q, All, B, Random);
+  EXPECT_TRUE(Sampled.AllPassed) << Sampled.render(Random);
+  // Ground axioms have a single instance; every other axiom is cut from
+  // ten samples to three and says so.
+  size_t Capped = 0;
+  for (const AxiomCampaign &A : Sampled.Axioms) {
+    EXPECT_EQ(A.Planned, A.SpaceAtDepth == 1 ? 1u : 3u);
+    Capped += A.Planned == 3;
+  }
+  EXPECT_GT(Capped, 0u);
+  EXPECT_EQ(capNotes(Sampled), Capped) << Sampled.render(Random);
+
+  TestGenOptions Uniform;
+  Uniform.MaxDepth = 4;
+  Uniform.Uniformity = true;
+  Uniform.MaxInstancesPerAxiom = 1;
+  TestGenReport Cells = runTestGen(Ctx, *Q, All, B, Uniform);
+  size_t Cut = 0;
+  for (const AxiomCampaign &A : Cells.Axioms) {
+    EXPECT_EQ(A.Planned, 1u);
+    Cut += A.UniformityCells > 1;
+  }
+  EXPECT_GT(Cut, 0u);
+  EXPECT_EQ(capNotes(Cells), Cells.Axioms.size()) << Cells.render(Uniform);
+
+  // Below the cap neither mode adds the note.
+  Random.MaxInstancesPerAxiom = 50000;
+  Uniform.MaxInstancesPerAxiom = 50000;
+  EXPECT_EQ(capNotes(runTestGen(Ctx, *Q, All, B, Random)), 0u);
+  EXPECT_EQ(capNotes(runTestGen(Ctx, *Q, All, B, Uniform)), 0u);
 }
 
 TEST(TestgenOracleTest, ObserverContextsDecideWithoutBoundEquality) {

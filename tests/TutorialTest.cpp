@@ -7,13 +7,14 @@
 /// \file
 /// Executes docs/TUTORIAL.md step by step, so the tutorial cannot rot:
 /// a Dictionary type is specified, skeleton-prompted, checked, executed
-/// symbolically, model-tested against a real implementation, refined to
+/// symbolically, tested against a real implementation, refined to
 /// a cons-list representation, and verified — including the sabotage the
 /// tutorial's last paragraph promises the verifier will catch.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/AlgSpec.h"
+#include "testgen/TestGen.h"
 
 #include <gtest/gtest.h>
 
@@ -251,11 +252,11 @@ TEST(TutorialTest, Step6ModelTestTheRealImplementation) {
                  return A.get<DictImpl>() == B2.get<DictImpl>();
                });
 
-  ModelTestOptions Options;
+  TestGenOptions Options;
   Options.MaxDepth = 4;
-  ModelTestReport Report =
-      testModel(WS.context(), *WS.find("Dict"), B, Options);
-  EXPECT_TRUE(Report.AllPassed) << Report.render();
+  TestGenReport Report = runTestGen(WS.context(), *WS.find("Dict"),
+                                    WS.specPointers(), B, Options);
+  EXPECT_TRUE(Report.AllPassed) << Report.render(Options);
 }
 
 TEST(TutorialTest, Step7RepresentationVerifies) {

@@ -43,14 +43,18 @@
 #include "support/SourceMgr.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 // This is tool code, not library code: std::cin is the natural way to
 // support `algspec run specs.alg -`.
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace algspec;
@@ -203,6 +207,32 @@ struct Options {
   int64_t DeadlineMs = 0;
 };
 
+/// Reads \p Text into \p Into when it is a plain decimal integer that
+/// fits the field's type: no sign, no other character, not empty.
+template <typename T> bool readCount(std::string_view Text, T &Into) {
+  const char *End = Text.data() + Text.size();
+  uint64_t Value = 0;
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Text.empty() || Ec != std::errc() || Stop != End ||
+      Value > static_cast<uint64_t>(std::numeric_limits<T>::max()))
+    return false;
+  Into = static_cast<T>(Value);
+  return true;
+}
+
+/// Reads the value \p Text of numeric flag \p Flag into \p Into; any
+/// value readCount rejects is a usage error naming the flag.
+template <typename T>
+bool parseCount(const char *Flag, const char *Text, T &Into) {
+  if (readCount(Text, Into))
+    return true;
+  std::fprintf(stderr, "error: %s wants an integer from 0 to %llu, got '%s'\n",
+               Flag,
+               static_cast<unsigned long long>(std::numeric_limits<T>::max()),
+               Text);
+  return false;
+}
+
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   if (Argc < 2)
     return false;
@@ -215,6 +245,10 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return nullptr;
       }
       return Argv[++I];
+    };
+    auto count = [&](const char *Flag, auto &Into) {
+      const char *V = needValue(Flag);
+      return V && parseCount(Flag, V, Into);
     };
     if (Arg == "--builtin") {
       const char *V = needValue("--builtin");
@@ -232,20 +266,14 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       Opts.SortName = V;
     } else if (Arg == "-d") {
-      const char *V = needValue("-d");
-      if (!V)
+      if (!count("-d", Opts.Depth))
         return false;
-      Opts.Depth = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--dynamic") {
-      const char *V = needValue("--dynamic");
-      if (!V)
+      if (!count("--dynamic", Opts.DynamicDepth))
         return false;
-      Opts.DynamicDepth = std::atoi(V);
     } else if (Arg == "--jobs") {
-      const char *V = needValue("--jobs");
-      if (!V)
+      if (!count("--jobs", Opts.Jobs))
         return false;
-      Opts.Jobs = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--engine" || Arg.rfind("--engine=", 0) == 0) {
       // Both `--engine interp` and `--engine=interp` are accepted; the
       // inline form is what the docs show.
@@ -324,15 +352,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--hom") {
       Opts.Homomorphism = true;
     } else if (Arg == "--random") {
-      const char *V = needValue("--random");
-      if (!V)
+      if (!count("--random", Opts.RandomCount))
         return false;
-      Opts.RandomCount = static_cast<size_t>(std::atoll(V));
     } else if (Arg == "--seed") {
-      const char *V = needValue("--seed");
-      if (!V)
+      if (!count("--seed", Opts.Seed))
         return false;
-      Opts.Seed = static_cast<uint64_t>(std::atoll(V));
     } else if (Arg == "--uniformity") {
       Opts.Uniformity = true;
     } else if (Arg == "--oracle" || Arg.rfind("--oracle=", 0) == 0) {
@@ -375,30 +399,20 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       Opts.StressSpec = V;
     } else if (Arg == "--workers") {
-      const char *V = needValue("--workers");
-      if (!V)
+      if (!count("--workers", Opts.ServeWorkers))
         return false;
-      Opts.ServeWorkers = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--queue-max") {
-      const char *V = needValue("--queue-max");
-      if (!V)
+      if (!count("--queue-max", Opts.QueueMax))
         return false;
-      Opts.QueueMax = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--cache-max") {
-      const char *V = needValue("--cache-max");
-      if (!V)
+      if (!count("--cache-max", Opts.CacheMax))
         return false;
-      Opts.CacheMax = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--max-steps") {
-      const char *V = needValue("--max-steps");
-      if (!V)
+      if (!count("--max-steps", Opts.MaxSteps))
         return false;
-      Opts.MaxSteps = static_cast<uint64_t>(std::atoll(V));
     } else if (Arg == "--deadline-ms") {
-      const char *V = needValue("--deadline-ms");
-      if (!V)
+      if (!count("--deadline-ms", Opts.DeadlineMs))
         return false;
-      Opts.DeadlineMs = std::atoll(V);
     } else if (Arg == "--json") {
       Opts.Json = true;
     } else if (Arg == "--Werror") {
@@ -783,9 +797,12 @@ int cmdClient(const Options &Opts) {
 
   if (!Opts.StressSpec.empty()) {
     unsigned Connections = 0, Requests = 0;
-    if (std::sscanf(Opts.StressSpec.c_str(), "%ux%u", &Connections,
-                    &Requests) != 2 ||
-        Connections == 0 || Requests == 0) {
+    std::string_view Shape = Opts.StressSpec;
+    size_t X = Shape.find('x');
+    if (X == std::string_view::npos ||
+        !readCount(Shape.substr(0, X), Connections) ||
+        !readCount(Shape.substr(X + 1), Requests) || Connections == 0 ||
+        Requests == 0) {
       std::fprintf(stderr, "error: --stress wants NxM, got '%s'\n",
                    Opts.StressSpec.c_str());
       return 2;
